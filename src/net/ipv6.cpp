@@ -1,6 +1,5 @@
 #include "net/ipv6.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <vector>
@@ -119,20 +118,6 @@ std::string Ipv6Address::to_string() const {
   return join(0, best_start) + "::" + join(best_start + best_len, 8);
 }
 
-Ipv6Address Ipv6Address::masked(unsigned prefix_len) const {
-  if (prefix_len >= 128) return *this;
-  std::array<std::uint8_t, kBytes> out = bytes_;
-  std::size_t full = prefix_len / 8;
-  unsigned rem = prefix_len % 8;
-  if (full < kBytes && rem != 0) {
-    out[full] &= static_cast<std::uint8_t>(0xff00 >> rem);
-    ++full;
-  }
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(full), out.end(),
-            std::uint8_t{0});
-  return from_bytes(out);
-}
-
 Ipv6Prefix::Ipv6Prefix(const Ipv6Address& addr, unsigned len) : len_(len) {
   if (len > 128) throw std::invalid_argument("prefix length > 128");
   addr_ = addr.masked(len);
@@ -153,14 +138,6 @@ std::optional<Ipv6Prefix> Ipv6Prefix::parse(std::string_view text) {
   if (len > 128) return std::nullopt;
   if (addr->masked(len) != *addr) return std::nullopt;  // host bits set
   return Ipv6Prefix(*addr, len);
-}
-
-bool Ipv6Prefix::contains(const Ipv6Address& a) const {
-  return a.masked(len_) == addr_;
-}
-
-bool Ipv6Prefix::contains(const Ipv6Prefix& other) const {
-  return other.len_ >= len_ && contains(other.addr_);
 }
 
 std::string Ipv6Prefix::to_string() const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -35,14 +36,8 @@ class Ipv6Address {
   /// Build from the high (network) and low (interface identifier) halves.
   static constexpr Ipv6Address from_halves(std::uint64_t hi,
                                            std::uint64_t lo) {
-    Ipv6Address a;
-    for (int i = 0; i < 8; ++i) {
-      a.bytes_[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(hi >> (56 - 8 * i));
-      a.bytes_[static_cast<std::size_t>(8 + i)] =
-          static_cast<std::uint8_t>(lo >> (56 - 8 * i));
-    }
-    return a;
+    return from_bytes(std::bit_cast<std::array<std::uint8_t, kBytes>>(
+        std::array<std::uint64_t, 2>{big_endian(hi), big_endian(lo)}));
   }
 
   /// Parse textual form; returns nullopt on any syntax error.
@@ -71,8 +66,18 @@ class Ipv6Address {
     return from_halves(hi64(), iid);
   }
 
-  /// Zero all bits below `prefix_len` (0..128).
-  Ipv6Address masked(unsigned prefix_len) const;
+  /// Keep the top `len` (0..64) bits of a 64-bit word: the per-half masks
+  /// that masked() and Ipv6Prefix::contains work with.
+  static constexpr std::uint64_t top_bits(unsigned len) {
+    return len == 0 ? 0 : ~std::uint64_t{0} << (64 - len);
+  }
+
+  /// Zero all bits below `prefix_len` (0..128), one 64-bit half at a time.
+  constexpr Ipv6Address masked(unsigned prefix_len) const {
+    if (prefix_len >= 128) return *this;
+    if (prefix_len <= 64) return from_halves(hi64() & top_bits(prefix_len), 0);
+    return from_halves(hi64(), lo64() & top_bits(prefix_len - 64));
+  }
 
   constexpr bool is_unspecified() const {
     for (auto b : bytes_)
@@ -84,10 +89,17 @@ class Ipv6Address {
                                     const Ipv6Address&) = default;
 
  private:
+  /// Swap a word between host order and network (big-endian) order; the
+  /// swap is its own inverse, so it serves loads and stores alike.
+  static constexpr std::uint64_t big_endian(std::uint64_t w) {
+    return std::endian::native == std::endian::little ? __builtin_bswap64(w)
+                                                      : w;
+  }
+
+  /// One 8-byte word at byte offset `off` (0 or 8), in network order.
   constexpr std::uint64_t read64(std::size_t off) const {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | bytes_[off + i];
-    return v;
+    return big_endian(
+        std::bit_cast<std::array<std::uint64_t, 2>>(bytes_)[off / 8]);
   }
 
   std::array<std::uint8_t, kBytes> bytes_;
@@ -115,8 +127,17 @@ class Ipv6Prefix {
   const Ipv6Address& address() const { return addr_; }
   unsigned length() const { return len_; }
 
-  bool contains(const Ipv6Address& a) const;
-  bool contains(const Ipv6Prefix& other) const;
+  /// Word-wise: the two halves of `a` and the prefix agree on every bit
+  /// the prefix length covers.
+  bool contains(const Ipv6Address& a) const {
+    unsigned hi_len = len_ < 64 ? len_ : 64;
+    unsigned lo_len = len_ > 64 ? len_ - 64 : 0;
+    return ((a.hi64() ^ addr_.hi64()) & Ipv6Address::top_bits(hi_len)) == 0 &&
+           ((a.lo64() ^ addr_.lo64()) & Ipv6Address::top_bits(lo_len)) == 0;
+  }
+  bool contains(const Ipv6Prefix& other) const {
+    return other.len_ >= len_ && contains(other.addr_);
+  }
 
   std::string to_string() const;
 

@@ -1,12 +1,72 @@
 #include "simnet/fault.hpp"
 
+#include <array>
+#include <span>
+
 #include "obs/flight.hpp"
 #include "simnet/event_queue.hpp"
 
 namespace tts::simnet {
 
+namespace {
+
+/// BlockIndex lanes: rules matched by a packet's destination (inbound or
+/// both), rules matched by its source (outbound or both), host outages.
+enum Lane : std::uint32_t { kDstLane, kSrcLane, kOutageLane, kLanes };
+
+BlockIndex index_scenario(const FaultScenario& scenario) {
+  std::vector<BlockIndex::Entry> entries;
+  for (std::size_t i = 0; i < scenario.rules.size(); ++i) {
+    const FaultRule& rule = scenario.rules[i];
+    auto id = static_cast<BlockIndex::Id>(i);
+    if (rule.direction != FaultDirection::kOutbound)
+      entries.push_back({rule.prefix, kDstLane, id});
+    if (rule.direction != FaultDirection::kInbound)
+      entries.push_back({rule.prefix, kSrcLane, id});
+  }
+  for (std::size_t i = 0; i < scenario.outages.size(); ++i)
+    entries.push_back({net::Ipv6Prefix(scenario.outages[i].host, 128),
+                       kOutageLane, static_cast<BlockIndex::Id>(i)});
+  return BlockIndex(kLanes, entries);
+}
+
+/// The rules that may match a packet, in declaration order, each once: the
+/// dst-scoped ids of the destination's block, the src-scoped ids of the
+/// source's block and both wide lists, merged without allocating. (A kBoth
+/// rule whose source and destination share a block sits on two of the
+/// lists and is returned once.)
+class Candidates {
+ public:
+  Candidates(const BlockIndex& index, std::uint32_t dst_block,
+             const net::Ipv6Address& src)
+      : lists_{index.ids(dst_block, kDstLane),
+               index.ids(index.block_of(src), kSrcLane),
+               index.wide(kDstLane), index.wide(kSrcLane)} {}
+
+  /// The next smallest rule id not yet returned; false when none is left.
+  bool next(BlockIndex::Id& out) {
+    bool any = false;
+    for (const auto& list : lists_)
+      if (!list.empty() && (!any || list.front() < out)) {
+        out = list.front();
+        any = true;
+      }
+    if (!any) return false;
+    for (auto& list : lists_)
+      if (!list.empty() && list.front() == out) list = list.subspan(1);
+    return true;
+  }
+
+ private:
+  std::array<std::span<const BlockIndex::Id>, 4> lists_;
+};
+
+}  // namespace
+
 FaultPlane::FaultPlane(FaultScenario scenario, obs::Registry* registry)
-    : scenario_(std::move(scenario)), registry_(registry) {
+    : scenario_(std::move(scenario)),
+      index_(index_scenario(scenario_)),
+      registry_(registry) {
   rngs_.push_back(util::Rng(scenario_.seed).stream("faultplane"));
   if (!registry_) return;
   registry_->enroll(udp_dropped_, "fault_udp_dropped", {}, this);
@@ -81,8 +141,15 @@ void FaultPlane::arm_windows(EventQueue& events) {
 }
 
 bool FaultPlane::host_down(const net::Ipv6Address& host, SimTime now) const {
-  for (const HostOutage& outage : scenario_.outages)
+  return host_down(index_.block_of(host), host, now);
+}
+
+bool FaultPlane::host_down(std::uint32_t block, const net::Ipv6Address& host,
+                           SimTime now) const {
+  for (BlockIndex::Id id : index_.ids(block, kOutageLane)) {
+    const HostOutage& outage = scenario_.outages[id];
     if (outage.host == host && outage.active(now)) return true;
+  }
   return false;
 }
 
@@ -92,13 +159,16 @@ FaultPlane::UdpVerdict FaultPlane::on_udp(const net::Ipv6Address& src,
                                           DomainId domain) {
   util::Rng& rng = domain_rng(domain);
   UdpVerdict verdict;
-  if (host_down(dst, now)) {
+  const std::uint32_t dst_block = index_.block_of(dst);
+  if (host_down(dst_block, dst, now)) {
     udp_host_down_.inc();
     inject(kNoteUdpHostDown);
     verdict.drop = true;
     return verdict;
   }
-  for (const FaultRule& rule : scenario_.rules) {
+  Candidates candidates(index_, dst_block, src);
+  for (BlockIndex::Id id = 0; candidates.next(id);) {
+    const FaultRule& rule = scenario_.rules[id];
     if (!rule.udp || !rule.active(now) || !rule.matches(src, dst, dst_port))
       continue;
     switch (rule.kind) {
@@ -137,13 +207,16 @@ FaultPlane::TcpVerdict FaultPlane::on_tcp_connect(const net::Ipv6Address& src,
                                                   DomainId domain) {
   util::Rng& rng = domain_rng(domain);
   TcpVerdict verdict;
-  if (host_down(dst, now)) {
+  const std::uint32_t dst_block = index_.block_of(dst);
+  if (host_down(dst_block, dst, now)) {
     tcp_blackholed_.inc();
     inject(kNoteTcpBlackhole);
     verdict.action = TcpAction::kBlackhole;
     return verdict;
   }
-  for (const FaultRule& rule : scenario_.rules) {
+  Candidates candidates(index_, dst_block, src);
+  for (BlockIndex::Id id = 0; candidates.next(id);) {
+    const FaultRule& rule = scenario_.rules[id];
     if (!rule.tcp || !rule.active(now) || !rule.matches(src, dst, dst_port))
       continue;
     switch (rule.kind) {

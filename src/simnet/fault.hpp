@@ -17,6 +17,16 @@
 // packet's fate — all draws come from one seeded stream, so the same
 // scenario under the same seed perturbs a run bit-identically.
 //
+// The scenario compiles at construction into a BlockIndex keyed by the
+// top 32 bits of an address: each /32 block lists the rules whose prefix
+// lies inside it, split into dst-scoped (inbound/both) and src-scoped
+// (outbound/both) ids, plus the outages of its hosts; rules shorter than
+// /32 sit on the wide lists. A verdict visits only the dst block's
+// dst-scoped ids, the src block's src-scoped ids and the wide lists,
+// merged in declaration order with duplicates removed, so its cost follows
+// the rules that can match the packet, not the size of the scenario, while
+// every draw, counter and verdict equals a linear scan's.
+//
 // Every injected fault is counted (fault_* instruments) so a chaos harness
 // can prove conservation: nothing the plane swallows goes unaccounted.
 #pragma once
@@ -28,6 +38,7 @@
 
 #include "net/ipv6.hpp"
 #include "obs/metrics.hpp"
+#include "simnet/block_index.hpp"
 #include "simnet/shard.hpp"
 #include "simnet/time.hpp"
 #include "util/rng.hpp"
@@ -225,6 +236,10 @@ class FaultPlane {
   };
   void inject(InjectNote which);
 
+  /// host_down() with `host`'s block row already looked up.
+  bool host_down(std::uint32_t block, const net::Ipv6Address& host,
+                 SimTime now) const;
+
   util::Rng& domain_rng(DomainId domain) {
     if (domain < rngs_.size()) return rngs_[domain];
     // A domain without its own stream would alias stream 0, silently
@@ -235,6 +250,7 @@ class FaultPlane {
   }
 
   FaultScenario scenario_;
+  BlockIndex index_;  // compiled from scenario_; never changes
   std::vector<util::Rng> rngs_;  // [0] = legacy "faultplane" stream
   obs::Registry* registry_;
   obs::FlightRecorder* flight_ = nullptr;

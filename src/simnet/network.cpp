@@ -401,11 +401,14 @@ void Network::connect_tcp_sharded(const Endpoint& src, const Endpoint& dst,
         conn->stalled_ = stalled;
         track_connection(conn);
         // Server side accepts at SYN arrival; the client's result fires a
-        // further latency later (the SYN-ACK), preserving the
-        // acceptor-before-result ordering across domains.
-        acceptor(conn);
+        // further latency later (the SYN-ACK). Schedule the result before
+        // running the acceptor: a server-first banner (SSH) written from
+        // the acceptor lands on the caller's domain at the same instant,
+        // and must arrive after the result has installed the client's
+        // on_data, or it is dropped.
         events_.schedule_on(caller_dom, send_at + 2 * lat, packet_cat_,
                             [conn, result] { result(conn, false); });
+        acceptor(conn);
       });
 }
 

@@ -8,8 +8,9 @@
 
 namespace tts::simnet {
 
-RoutePlane::RoutePlane(RouteScenario scenario, obs::Registry* registry)
-    : scenario_(std::move(scenario)), registry_(registry) {
+std::vector<RoutePlane::Route> RoutePlane::compile_routes(
+    const RouteScenario& scenario) {
+  std::vector<Route> routes;
   // Group the script per prefix, preserving first-appearance order so the
   // compiled tables are a pure function of the scenario, never of a hash.
   /// Keyed lookups only — never iterated.
@@ -21,35 +22,26 @@ RoutePlane::RoutePlane(RouteScenario scenario, obs::Registry* registry)
     std::size_t order;  // scenario position, the tie-break at equal times
   };
   std::vector<std::vector<Scripted>> per_route;
-  for (std::size_t i = 0; i < scenario_.events.size(); ++i) {
-    const RouteEvent& ev = scenario_.events[i];
+  for (std::size_t i = 0; i < scenario.events.size(); ++i) {
+    const RouteEvent& ev = scenario.events[i];
     auto [it, inserted] = index_of.try_emplace(
-        ev.prefix, static_cast<std::uint32_t>(routes_.size()));
+        ev.prefix, static_cast<std::uint32_t>(routes.size()));
     if (inserted) {
-      lpm_.announce(ev.prefix, it->second);
-      routes_.push_back(Route{ev.prefix, {}});
+      routes.push_back(Route{ev.prefix, {}});
       per_route.emplace_back();
-      // Mark the prefix's top-16-bit coverage in the hot-path prefilter: a
-      // /16-or-longer prefix covers exactly one slot, a shorter one a run
-      // of 2^(16-len) slots.
-      auto base = static_cast<std::size_t>(ev.prefix.address().hi64() >> 48);
-      std::size_t slots = ev.prefix.length() >= 16
-                              ? 1
-                              : std::size_t{1} << (16 - ev.prefix.length());
-      for (std::size_t s = 0; s < slots; ++s) top16_.set(base + s);
     }
     // Overflow-safe effective time: an origination near the horizon of
     // representable time saturates instead of wrapping.
-    SimTime effective = ev.at > kRouteForever - scenario_.convergence
+    SimTime effective = ev.at > kRouteForever - scenario.convergence
                             ? kRouteForever
-                            : ev.at + scenario_.convergence;
+                            : ev.at + scenario.convergence;
     per_route[it->second].push_back(Scripted{effective, ev.op, i});
   }
 
   // Compile each prefix's events into sorted, non-overlapping down-windows.
   // Prefixes start announced; redundant events (withdraw while down,
   // announce while up) change nothing and are dropped.
-  for (std::size_t r = 0; r < routes_.size(); ++r) {
+  for (std::size_t r = 0; r < routes.size(); ++r) {
     std::vector<Scripted>& script = per_route[r];
     std::sort(script.begin(), script.end(),
               [](const Scripted& a, const Scripted& b) {
@@ -61,18 +53,32 @@ RoutePlane::RoutePlane(RouteScenario scenario, obs::Registry* registry)
     for (const Scripted& ev : script) {
       if (ev.op == RouteOp::kWithdraw && !down) {
         down = true;
-        routes_[r].down.push_back(DownWindow{ev.effective, kRouteForever});
+        routes[r].down.push_back(DownWindow{ev.effective, kRouteForever});
       } else if (ev.op == RouteOp::kAnnounce && down) {
         down = false;
-        routes_[r].down.back().until = ev.effective;
+        routes[r].down.back().until = ev.effective;
         // A zero-width window (announce converging at the same instant as
         // the withdraw) never blackholes anything and commits nothing.
-        if (routes_[r].down.back().until == routes_[r].down.back().from)
-          routes_[r].down.pop_back();
+        if (routes[r].down.back().until == routes[r].down.back().from)
+          routes[r].down.pop_back();
       }
     }
   }
+  return routes;
+}
 
+BlockIndex RoutePlane::index_routes(const std::vector<Route>& routes) {
+  std::vector<BlockIndex::Entry> entries;
+  for (std::size_t r = 0; r < routes.size(); ++r)
+    entries.push_back({routes[r].prefix, 0, static_cast<BlockIndex::Id>(r)});
+  return BlockIndex(1, entries);
+}
+
+RoutePlane::RoutePlane(RouteScenario scenario, obs::Registry* registry)
+    : scenario_(std::move(scenario)),
+      routes_(compile_routes(scenario_)),
+      index_(index_routes(routes_)),
+      registry_(registry) {
   // Every down-window edge is one committed transition; ordered by
   // (effective, route) so same-instant commits across prefixes run in
   // first-appearance order.
@@ -110,10 +116,19 @@ void RoutePlane::set_flight_recorder(obs::FlightRecorder* recorder) {
 }
 
 bool RoutePlane::withdrawn_scripted(const net::Ipv6Address& dst,
-                                    SimTime now) const {
-  std::optional<net::AsNumber> route = lpm_.lookup(dst);
-  if (!route) return false;
-  const std::vector<DownWindow>& down = routes_[*route].down;
+                                    std::uint32_t block, SimTime now) const {
+  // Distinct prefixes of one length are disjoint, so the longest candidate
+  // containing dst is unique: the longest-prefix match.
+  const Route* best = nullptr;
+  for (auto ids : {index_.ids(block, 0), index_.wide(0)})
+    for (BlockIndex::Id id : ids) {
+      const Route& route = routes_[id];
+      if ((!best || route.prefix.length() > best->prefix.length()) &&
+          route.prefix.contains(dst))
+        best = &route;
+    }
+  if (!best) return false;
+  const std::vector<DownWindow>& down = best->down;
   auto it = std::upper_bound(down.begin(), down.end(), now,
                              [](SimTime t, const DownWindow& w) {
                                return t < w.from;

@@ -11,12 +11,19 @@
 // blackholed: datagrams vanish, connects time out.
 //
 // Reachability is a pure function of (destination, now): all scripted
-// events compile at construction into per-prefix sorted down-windows over
-// a longest-prefix-match trie, so the data-path verdict takes no locks and
-// draws no randomness, making it safe to evaluate from any shard executor
-// and bit-identical at every shard count. A more-specific scripted prefix
-// shadows a covering one (an announced /48 keeps its addresses reachable
-// while the surrounding /32 is down) — standard LPM semantics.
+// events compile at construction into per-prefix sorted down-windows, and
+// the scripted prefixes into a BlockIndex keyed by an address's top 32
+// bits (see simnet/block_index.hpp). The longest candidate of `dst`'s /32
+// block or of the wide (shorter than /32) list that contains `dst` is the
+// longest-prefix match, so a verdict is one hash probe for unscripted
+// space and a few prefix tests inside it. No coarser prefilter sits in
+// front: the AS registry allocates every AS inside 2400::/12, so a
+// top-16-bit coverage bitset passes every synthetic address. The verdict
+// takes no locks and draws no randomness, making it safe to evaluate from
+// any shard executor and bit-identical at every shard count. A
+// more-specific scripted prefix shadows a covering one (an announced /48
+// keeps its addresses reachable while the surrounding /32 is down) —
+// standard LPM semantics.
 //
 // Control-plane *transitions* — the moments the adaptive stack reacts to —
 // commit at window barriers: arm() schedules one domain-0 event per
@@ -27,15 +34,14 @@
 // so sharded runs stay bit-identical at shard counts 1/2/4.
 #pragma once
 
-#include <bitset>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <vector>
 
 #include "net/ipv6.hpp"
-#include "net/routing_table.hpp"
 #include "obs/metrics.hpp"
+#include "simnet/block_index.hpp"
 #include "simnet/time.hpp"
 
 namespace tts::obs {
@@ -99,12 +105,13 @@ class RoutePlane {
   /// Pure reachability query: true when `dst`'s longest-matching scripted
   /// prefix is inside a down-window at `now`. Unscripted space is always
   /// routed. Lock-free and draw-free — callable from any shard executor.
-  /// Inline fast path: scripted space is a sliver of the address space, so
-  /// almost every query resolves "routed" on one prefilter bit test (the
-  /// send/connect hot path pays no call and no LPM walk for it).
+  /// Inline fast path: a destination whose /32 block holds no scripted
+  /// prefix, with no scripted prefix shorter than /32, resolves "routed"
+  /// on one hash probe (the send/connect hot path pays no call for it).
   bool withdrawn(const net::Ipv6Address& dst, SimTime now) const {
-    if (!top16_[static_cast<std::size_t>(dst.hi64() >> 48)]) return false;
-    return withdrawn_scripted(dst, now);
+    std::uint32_t block = index_.block_of(dst);
+    if (block == BlockIndex::kNoBlock && index_.wide(0).empty()) return false;
+    return withdrawn_scripted(dst, block, now);
   }
 
   /// Data-path verdict: withdrawn(), plus one route_blackholed count when
@@ -160,20 +167,21 @@ class RoutePlane {
   // ttslint: barrier_only
   void commit(std::size_t index);
 
-  /// Slow half of withdrawn(): LPM walk + down-window probe, reached only
-  /// when the prefilter says some scripted prefix may cover `dst`.
-  bool withdrawn_scripted(const net::Ipv6Address& dst, SimTime now) const;
+  /// Group the script per prefix (first-appearance order) and compile each
+  /// prefix's events into its down-windows.
+  static std::vector<Route> compile_routes(const RouteScenario& scenario);
+  /// Every route's prefix in one lane, id = index into `routes`.
+  static BlockIndex index_routes(const std::vector<Route>& routes);
+
+  /// Slow half of withdrawn(): longest-prefix match over the candidates
+  /// of `dst`'s block row and the wide list, then the down-window probe.
+  bool withdrawn_scripted(const net::Ipv6Address& dst, std::uint32_t block,
+                          SimTime now) const;
 
   RouteScenario scenario_;
   std::vector<Route> routes_;  // first-appearance order (deterministic)
-  /// Coverage prefilter for the hot path: bit b set iff some scripted
-  /// prefix covers addresses whose top 16 bits equal b. Scripted space is
-  /// a sliver of the address space, so almost every verdict resolves to
-  /// "routed" with one bit test instead of an LPM walk.
-  std::bitset<1 << 16> top16_;
-  /// Longest-prefix match over scripted prefixes; the stored "AS number"
-  /// is the route's index into routes_.
-  net::RoutingTable lpm_;
+  /// Every scripted prefix (one lane), id = index into routes_.
+  BlockIndex index_;
   std::vector<Transition> transitions_;
   std::vector<TransitionFn> subscribers_;
   obs::Registry* registry_;

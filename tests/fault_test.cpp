@@ -1,10 +1,14 @@
 // FaultPlane rule matching and its integration into Network: loss/delay/
 // blackhole/RST/stall rules, host outages, time windows, transport,
 // direction and destination-port scoping, the domain-RNG aliasing guard,
-// window-edge flight events, and the NetworkConfig connect_timeout
-// plumbing the blackhole path uses.
+// window-edge flight events, the NetworkConfig connect_timeout plumbing
+// the blackhole path uses, and a differential test of the block-indexed
+// verdicts against a linear scan over every rule and outage.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/flight.hpp"
@@ -12,6 +16,7 @@
 #include "simnet/event_queue.hpp"
 #include "simnet/fault.hpp"
 #include "simnet/network.hpp"
+#include "util/rng.hpp"
 
 namespace tts::simnet {
 namespace {
@@ -284,6 +289,219 @@ TEST_F(FaultPlaneTest, WindowEdgesRecordFlightEvents) {
   // zero-width rule contributes nothing.
   EXPECT_EQ(opens, 2);
   EXPECT_EQ(closes, 1);
+}
+
+// --------------------------------------- differential: linear reference
+
+/// The plane's verdict logic as a linear scan over every outage and rule,
+/// with its own copy of the legacy RNG stream and of the counters: the
+/// reference the block-indexed FaultPlane must match draw for draw.
+struct LinearFaults {
+  explicit LinearFaults(const FaultScenario& s)
+      : scenario(s), rng(util::Rng(s.seed).stream("faultplane")) {}
+
+  bool host_down(const net::Ipv6Address& host, SimTime now) const {
+    for (const HostOutage& outage : scenario.outages)
+      if (outage.host == host && outage.active(now)) return true;
+    return false;
+  }
+  SimDuration delay(const FaultRule& rule) {
+    SimDuration d = rule.added_latency;
+    if (rule.added_jitter > 0)
+      d += static_cast<SimDuration>(
+          rng.below(static_cast<std::uint64_t>(rule.added_jitter)));
+    return d;
+  }
+  FaultPlane::UdpVerdict on_udp(const net::Ipv6Address& src,
+                                const net::Ipv6Address& dst,
+                                std::uint16_t port, SimTime now) {
+    FaultPlane::UdpVerdict v;
+    if (host_down(dst, now)) {
+      ++udp_host_down;
+      v.drop = true;
+      return v;
+    }
+    for (const FaultRule& rule : scenario.rules) {
+      if (!rule.udp || !rule.active(now) || !rule.matches(src, dst, port))
+        continue;
+      if (rule.kind == FaultKind::kBlackhole ||
+          (rule.kind == FaultKind::kLoss && rng.chance(rule.probability))) {
+        ++udp_dropped;
+        v.drop = true;
+        return v;
+      }
+      if (rule.kind == FaultKind::kDelay) v.extra_latency += delay(rule);
+    }
+    if (v.extra_latency > 0) ++delays;
+    return v;
+  }
+  FaultPlane::TcpVerdict on_tcp(const net::Ipv6Address& src,
+                                const net::Ipv6Address& dst,
+                                std::uint16_t port, SimTime now) {
+    using Action = FaultPlane::TcpAction;
+    FaultPlane::TcpVerdict v;
+    auto end = [&](Action action, std::uint64_t& counter) {
+      ++counter;
+      v.action = action;
+      return v;
+    };
+    if (host_down(dst, now)) return end(Action::kBlackhole, tcp_blackholed);
+    for (const FaultRule& rule : scenario.rules) {
+      if (!rule.tcp || !rule.active(now) || !rule.matches(src, dst, port))
+        continue;
+      switch (rule.kind) {
+        case FaultKind::kBlackhole:
+          return end(Action::kBlackhole, tcp_blackholed);
+        case FaultKind::kLoss:
+          if (rng.chance(rule.probability))
+            return end(Action::kBlackhole, tcp_blackholed);
+          break;
+        case FaultKind::kRst:
+          return end(Action::kRst, tcp_rst);
+        case FaultKind::kStall:
+          return end(Action::kStall, tcp_stalled);
+        case FaultKind::kDelay:
+          v.extra_latency += delay(rule);
+          break;
+      }
+    }
+    if (v.extra_latency > 0) ++delays;
+    return v;
+  }
+
+  const FaultScenario& scenario;
+  util::Rng rng;
+  std::uint64_t udp_dropped = 0, udp_host_down = 0, tcp_blackholed = 0,
+                tcp_rst = 0, tcp_stalled = 0, delays = 0;
+};
+
+/// Random scenarios and traffic around a few shared /32 blocks, so rules
+/// nest, overlap and share blocks with outages, and packets land inside,
+/// just outside and far from every prefix.
+struct FaultFuzz {
+  explicit FaultFuzz(std::uint64_t seed) : rng(seed) {
+    const std::uint64_t blocks[] = {0x20010db8, 0x20010db9, 0x24000001,
+                                    0x24000002, 0x00000000, 0xffffffff};
+    for (int i = 0; i < 24; ++i)
+      hosts.push_back(addr(blocks[rng.below(6)] << 32 | rng.below(4) << 16,
+                           rng.below(8)));
+  }
+
+  /// A pool host, half the time with one bit flipped.
+  net::Ipv6Address near() {
+    net::Ipv6Address a = hosts[rng.below(hosts.size())];
+    if (rng.chance(0.5)) return a;
+    auto bit = static_cast<unsigned>(rng.below(128));
+    std::uint64_t hi = bit < 64 ? std::uint64_t{1} << (63 - bit) : 0;
+    std::uint64_t lo = bit < 64 ? 0 : std::uint64_t{1} << (127 - bit);
+    return addr(a.hi64() ^ hi, a.lo64() ^ lo);
+  }
+  /// Any length 0..128, biased toward the /32 and /64 boundaries.
+  unsigned length() {
+    static constexpr unsigned kEdges[] = {0, 1, 31, 32, 33, 63, 64, 65, 128};
+    if (rng.chance(0.4)) return kEdges[rng.below(std::size(kEdges))];
+    return static_cast<unsigned>(rng.below(129));
+  }
+  std::uint16_t port() {
+    static constexpr std::uint16_t kPorts[] = {0, 22, 80, 123, 443};
+    return kPorts[rng.below(std::size(kPorts))];
+  }
+  SimTime time() { return sec(static_cast<std::int64_t>(rng.below(100))); }
+  /// A window [from, until): open-ended, zero-width or finite.
+  std::pair<SimTime, SimTime> window() {
+    SimTime from = time();
+    switch (rng.below(4)) {
+      case 0: return {from, kFaultForever};
+      case 1: return {from, from};
+      default:
+        return {from, from + sec(static_cast<std::int64_t>(rng.below(50)))};
+    }
+  }
+
+  FaultRule rule() {
+    FaultRule r;
+    r.prefix = net::Ipv6Prefix(near(), length());
+    r.kind = static_cast<FaultKind>(rng.below(5));
+    std::tie(r.from, r.until) = window();
+    r.probability = rng.uniform();
+    r.added_latency = msec(static_cast<std::int64_t>(rng.below(50)));
+    r.added_jitter = rng.chance(0.5) ? msec(10) : 0;
+    r.udp = rng.chance(0.8);
+    r.tcp = rng.chance(0.8);
+    r.direction = static_cast<FaultDirection>(rng.below(3));
+    r.dst_port = rng.chance(0.7) ? 0 : port();
+    return r;
+  }
+
+  /// The random scenario, led by a probe rule: a delay with a huge jitter
+  /// on a block no random packet reaches, whose verdicts expose the RNG
+  /// stream's next raw draws.
+  FaultScenario scenario() {
+    FaultScenario s;
+    s.seed = rng.next();
+    s.rules.push_back({.prefix = net::Ipv6Prefix(probe_host, 32),
+                       .kind = FaultKind::kDelay,
+                       .added_jitter = SimDuration{1} << 40});
+    for (auto n = rng.below(40); n > 0; --n) s.rules.push_back(rule());
+    for (auto n = rng.below(6); n > 0; --n) {
+      auto [from, until] = window();
+      s.outages.push_back({near(), from, until});
+    }
+    return s;
+  }
+
+  util::Rng rng;
+  std::vector<net::Ipv6Address> hosts;
+  const net::Ipv6Address probe_host = addr(0x3fffffff00000000ULL, 1);
+};
+
+TEST(FaultPlaneDifferential, IndexedVerdictsMatchLinearScan) {
+  FaultFuzz fuzz(0xd1ff);
+  std::uint64_t host_down = 0, dropped = 0, refused = 0, delayed = 0;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    FaultScenario scenario = fuzz.scenario();
+    FaultPlane plane(scenario, nullptr);
+    LinearFaults ref(scenario);
+    for (int i = 0; i < 200; ++i) {
+      net::Ipv6Address src =
+          fuzz.rng.chance(0.1) ? net::Ipv6Address{} : fuzz.near();
+      net::Ipv6Address dst = fuzz.near();
+      std::uint16_t port = fuzz.port();
+      SimTime now = fuzz.time();
+      ASSERT_EQ(plane.host_down(dst, now), ref.host_down(dst, now));
+      if (fuzz.rng.chance(0.5)) {
+        auto got = plane.on_udp(src, dst, port, now);
+        auto want = ref.on_udp(src, dst, port, now);
+        ASSERT_EQ(got.drop, want.drop) << i;
+        ASSERT_EQ(got.extra_latency, want.extra_latency) << i;
+      } else {
+        auto got = plane.on_tcp_connect(src, dst, port, now);
+        auto want = ref.on_tcp(src, dst, port, now);
+        ASSERT_EQ(got.action, want.action) << i;
+        ASSERT_EQ(got.extra_latency, want.extra_latency) << i;
+      }
+    }
+    EXPECT_EQ(plane.udp_dropped(), ref.udp_dropped);
+    EXPECT_EQ(plane.udp_host_down(), ref.udp_host_down);
+    EXPECT_EQ(plane.tcp_blackholed(), ref.tcp_blackholed);
+    EXPECT_EQ(plane.tcp_rst(), ref.tcp_rst);
+    EXPECT_EQ(plane.tcp_stalled(), ref.tcp_stalled);
+    EXPECT_EQ(plane.delays_injected(), ref.delays);
+    host_down += ref.udp_host_down;
+    dropped += ref.udp_dropped + ref.tcp_blackholed;
+    refused += ref.tcp_rst + ref.tcp_stalled;
+    delayed += ref.delays;
+    // Both streams are still in step: the probe rule's jitter is a raw draw.
+    for (int i = 0; i < 4; ++i)
+      EXPECT_EQ(plane.on_udp(fuzz.probe_host, 0).extra_latency,
+                ref.on_udp({}, fuzz.probe_host, 0, 0).extra_latency);
+  }
+  // The fuzz is not vacuous: every kind of verdict occurs often.
+  EXPECT_GT(host_down, 50u);
+  EXPECT_GT(dropped, 2000u);
+  EXPECT_GT(refused, 1000u);
+  EXPECT_GT(delayed, 1000u);
 }
 
 // ------------------------------------------------- network integration

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "net/ipv6.hpp"
 #include "util/rng.hpp"
@@ -87,6 +88,15 @@ TEST(Ipv6, HalvesAndIid) {
   EXPECT_EQ(a.iid(), 0xfedcba9876543210ULL);
   EXPECT_EQ(a.with_iid(5).iid(), 5ULL);
   EXPECT_EQ(a.with_iid(5).hi64(), a.hi64());
+  // Network byte order: the most significant byte of `hi` comes first.
+  EXPECT_EQ(a.bytes()[0], 0x20);
+  EXPECT_EQ(a.bytes()[15], 0x10);
+
+  constexpr Ipv6Address kConst = Ipv6Address::from_halves(
+      0x20010db812345678ULL, 0xfedcba9876543210ULL);
+  static_assert(kConst.hi64() == 0x20010db812345678ULL);
+  static_assert(kConst.lo64() == 0xfedcba9876543210ULL);
+  static_assert(kConst.masked(40).hi64() == 0x20010db812000000ULL);
 }
 
 TEST(Ipv6, MaskedZeroesHostBits) {
@@ -132,6 +142,43 @@ TEST(Ipv6Prefix, Containment) {
   EXPECT_TRUE(p48.contains(p56));
   EXPECT_FALSE(p56.contains(p48));
   EXPECT_TRUE(p48.contains(p48));
+}
+
+/// Clear every bit from position `len` on (0 = most significant), one
+/// bit at a time: the reference the word-wise masked() must reproduce.
+Ipv6Address masked_bitwise(const Ipv6Address& a, unsigned len) {
+  auto bytes = a.bytes();
+  for (unsigned i = len; i < 128; ++i)
+    bytes[i / 8] &= static_cast<std::uint8_t>(~(0x80u >> (i % 8)));
+  return Ipv6Address::from_bytes(bytes);
+}
+
+/// Only bit `i` (0 = most significant) set.
+Ipv6Address single_bit(unsigned i) {
+  return Ipv6Address::from_halves(i < 64 ? std::uint64_t{1} << (63 - i) : 0,
+                                  i < 64 ? 0 : std::uint64_t{1} << (127 - i));
+}
+
+TEST(Ipv6Prefix, WordWiseMaskingMatchesBitwiseForEveryLength) {
+  const Ipv6Address ones = Ipv6Address::from_halves(~0ULL, ~0ULL);
+  std::vector<Ipv6Address> edges = {ones, Ipv6Address{}};
+  for (unsigned bit : {0u, 31u, 32u, 63u, 64u, 65u, 127u}) {
+    edges.push_back(single_bit(bit));
+    Ipv6Address hole = single_bit(bit);
+    edges.push_back(Ipv6Address::from_halves(~hole.hi64(), ~hole.lo64()));
+  }
+  for (unsigned len = 0; len <= 128; ++len) {
+    SCOPED_TRACE(len);
+    for (const Ipv6Address& a : edges) {
+      ASSERT_EQ(a.masked(len), masked_bitwise(a, len)) << a.to_string();
+      Ipv6Prefix prefix(a, len);
+      ASSERT_EQ(prefix.address(), masked_bitwise(a, len));
+      for (const Ipv6Address& b : edges)
+        ASSERT_EQ(prefix.contains(b),
+                  masked_bitwise(b, len) == masked_bitwise(a, len))
+            << prefix.to_string() << " " << b.to_string();
+    }
+  }
 }
 
 TEST(Ipv6Prefix, NetworkOfNormalizes) {

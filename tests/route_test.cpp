@@ -1,17 +1,22 @@
 // RoutePlane: scripted down-window compilation (convergence delay,
 // redundant-event dropping, zero-width windows), longest-prefix-match
 // shadowing, barrier-committed transitions (counters, subscribers, flight
-// events) and the Network integration (UDP blackhole, TCP connect timeout,
-// verdict precedence over the fault plane).
+// events), the Network integration (UDP blackhole, TCP connect timeout,
+// verdict precedence over the fault plane), and a differential test of the
+// block-indexed verdict against a net::RoutingTable longest-prefix match.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "simnet/event_queue.hpp"
 #include "simnet/network.hpp"
+#include "net/routing_table.hpp"
 #include "simnet/route.hpp"
+#include "util/rng.hpp"
 
 namespace tts::simnet {
 namespace {
@@ -57,7 +62,7 @@ TEST(RoutePlane, MoreSpecificScriptedPrefixShadowsCoveringWithdrawal) {
   RouteScenario scenario;
   scenario.convergence = 0;
   scenario.withdraw(as_prefix(), sec(10));
-  // The /48 is scripted (so it exists in the LPM trie) but only goes down
+  // The /48 is scripted (so it is a longest-match candidate) but only goes down
   // much later: while the covering /32 is withdrawn, the /48's addresses
   // stay reachable — standard longest-prefix-match semantics.
   scenario.withdraw(site_prefix(), sec(1000));
@@ -147,6 +152,108 @@ TEST(RoutePlane, ArmedTransitionsCommitCountersSubscribersAndFlight) {
   }
   EXPECT_EQ(withdrawn_events, 1);
   EXPECT_EQ(announced_events, 1);
+}
+
+// --------------------------------------- differential: RoutingTable LPM
+
+/// Reference reachability: net::RoutingTable finds the longest scripted
+/// match, then that prefix's script is replayed up to `now` (state changes
+/// in effective-time order, ties in script order; prefixes start routed).
+struct LpmRoutes {
+  explicit LpmRoutes(const RouteScenario& s) : scenario(s) {
+    for (const RouteEvent& ev : s.events) {
+      if (std::find(prefixes.begin(), prefixes.end(), ev.prefix) !=
+          prefixes.end())
+        continue;
+      table.announce(ev.prefix, static_cast<net::AsNumber>(prefixes.size()));
+      prefixes.push_back(ev.prefix);
+    }
+  }
+
+  bool withdrawn(const net::Ipv6Address& dst, SimTime now) const {
+    std::optional<net::AsNumber> hit = table.lookup(dst);
+    if (!hit) return false;
+    std::vector<std::tuple<SimTime, std::size_t, RouteOp>> script;
+    for (std::size_t i = 0; i < scenario.events.size(); ++i) {
+      const RouteEvent& ev = scenario.events[i];
+      if (ev.prefix != prefixes[*hit]) continue;
+      SimTime effective = ev.at > kRouteForever - scenario.convergence
+                              ? kRouteForever
+                              : ev.at + scenario.convergence;
+      script.emplace_back(effective, i, ev.op);
+    }
+    std::sort(script.begin(), script.end());
+    bool down = false;
+    for (const auto& [effective, order, op] : script) {
+      if (effective > now) break;
+      down = op == RouteOp::kWithdraw;
+    }
+    return down;
+  }
+
+  const RouteScenario& scenario;
+  std::vector<net::Ipv6Prefix> prefixes;
+  net::RoutingTable table;
+};
+
+TEST(RoutePlaneDifferential, IndexedVerdictMatchesRoutingTableLpm) {
+  util::Rng rng(0x10c7);
+  const std::uint64_t blocks[] = {0x20010db8, 0x24000001, 0x24000002,
+                                  0x00000000};
+  std::vector<net::Ipv6Address> hosts;
+  for (int i = 0; i < 16; ++i)
+    hosts.push_back(addr(blocks[rng.below(4)] << 32 | rng.below(4) << 16,
+                         rng.below(8)));
+  // A pool host, half the time with one bit flipped.
+  auto near = [&] {
+    net::Ipv6Address a = hosts[rng.below(hosts.size())];
+    if (rng.chance(0.5)) return a;
+    auto bit = static_cast<unsigned>(rng.below(128));
+    std::uint64_t hi = bit < 64 ? std::uint64_t{1} << (63 - bit) : 0;
+    std::uint64_t lo = bit < 64 ? 0 : std::uint64_t{1} << (127 - bit);
+    return addr(a.hi64() ^ hi, a.lo64() ^ lo);
+  };
+  // Any length 0..128, biased toward ::/0 and the /32 and /64 boundaries.
+  auto length = [&] {
+    static constexpr unsigned kEdges[] = {0, 16, 31, 32, 33, 48, 64, 128};
+    if (rng.chance(0.4)) return kEdges[rng.below(std::size(kEdges))];
+    return static_cast<unsigned>(rng.below(129));
+  };
+  std::uint64_t withdrawn = 0, routed = 0;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    RouteScenario scenario;
+    scenario.convergence = sec(static_cast<std::int64_t>(rng.below(30)));
+    // Nested prefixes of shared hosts: more-specifics shadow covering
+    // routes, and some scripts re-use a prefix several times.
+    std::vector<net::Ipv6Prefix> prefixes;
+    for (auto n = 1 + rng.below(8); n > 0; --n)
+      prefixes.push_back(net::Ipv6Prefix(near(), length()));
+    for (auto n = rng.below(20); n > 0; --n) {
+      const net::Ipv6Prefix& p = prefixes[rng.below(prefixes.size())];
+      auto at = sec(static_cast<std::int64_t>(rng.below(100)));
+      if (rng.chance(0.5))
+        scenario.withdraw(p, at);
+      else
+        scenario.announce(p, at);
+    }
+    RoutePlane plane(scenario, nullptr);
+    LpmRoutes ref(scenario);
+    std::uint64_t kills = 0;
+    for (int i = 0; i < 200; ++i) {
+      net::Ipv6Address dst = near();
+      SimTime now = sec(static_cast<std::int64_t>(rng.below(150)));
+      bool want = ref.withdrawn(dst, now);
+      ASSERT_EQ(plane.withdrawn(dst, now), want) << i;
+      ASSERT_EQ(plane.blackholes(dst, now), want) << i;
+      kills += want;
+      ++(want ? withdrawn : routed);
+    }
+    EXPECT_EQ(plane.blackholed(), kills);
+  }
+  // The fuzz is not vacuous: both verdicts occur often.
+  EXPECT_GT(withdrawn, 5000u);
+  EXPECT_GT(routed, 5000u);
 }
 
 // ------------------------------------------------- network integration

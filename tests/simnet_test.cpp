@@ -508,6 +508,69 @@ TEST(NetworkLifecycle, DestructorBreaksCyclesOfNeverClosedConnections) {
   EXPECT_TRUE(leaked.expired());
 }
 
+// Banners a server writes from its acceptor, as received by clients in
+// domains 0 and 2 connecting to a server in domain 1, on a sharded queue.
+std::vector<std::vector<std::uint8_t>> server_first_banners(
+    std::uint32_t shards) {
+  ShardMap map;
+  map.map_prefix(net::Ipv6Prefix(addr(0), 64), 1);
+  auto far = net::Ipv6Address::from_halves(0x2400000200000000ULL, 0);
+  map.map_prefix(net::Ipv6Prefix(far, 64), 2);
+  EventQueue events;
+  ShardPlan plan;
+  plan.shards = shards;
+  plan.workers = 1;
+  plan.lookahead = msec(10);
+  events.configure_shards(plan, map.domain_count());
+  NetworkConfig config;
+  config.min_latency = msec(10);
+  config.max_latency = msec(20);
+  config.jitter = 0;
+  Network network(events, config);
+  network.set_shard_map(&map);
+
+  const Endpoint server{addr(1), 22};
+  network.attach(server.addr);
+  network.listen_tcp(server, [](TcpConnectionPtr conn) {
+    conn->send(TcpConnection::Side::kServer, {'S', 'S', 'H'});
+  });
+  std::vector<std::vector<std::uint8_t>> banners(2);
+  const Endpoint clients[2] = {
+      {net::Ipv6Address::from_halves(0x2001000000000000ULL, 7), 40000},
+      {far.with_iid(7), 40000}};
+  for (std::size_t i = 0; i < 2; ++i) {
+    events.schedule_on(
+        map.domain_of(clients[i].addr), 0, 0, [&network, &banners, &clients,
+                                               &server, i] {
+          network.connect_tcp(
+              clients[i], server,
+              [&banners, i](TcpConnectionPtr conn, bool refused) {
+                ASSERT_FALSE(refused);
+                ASSERT_NE(conn, nullptr);
+                conn->set_on_data(TcpConnection::Side::kClient,
+                                  [&banners, i](std::vector<std::uint8_t> d) {
+                                    banners[i] = std::move(d);
+                                  });
+              });
+        });
+  }
+  events.run();
+  return banners;
+}
+
+TEST(ShardedNetwork, ServerFirstBannerReachesClient) {
+  // A server that speaks first (SSH) writes from inside its acceptor. The
+  // bytes must arrive after the client's connect result has installed its
+  // on_data handler, at every shard count.
+  const std::vector<std::uint8_t> banner = {'S', 'S', 'H'};
+  for (std::uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto banners = server_first_banners(shards);
+    EXPECT_EQ(banners[0], banner);
+    EXPECT_EQ(banners[1], banner);
+  }
+}
+
 TEST_F(NetworkTest, LatencyIsDeterministicAndBounded) {
   auto a = addr(100), b = addr(200);
   SimDuration l1 = network_.base_latency(a, b);
