@@ -3,6 +3,8 @@
 // obs instruments riding on every hot path.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "core/study.hpp"
 #include "net/ipv6.hpp"
 #include "net/routing_table.hpp"
@@ -111,6 +113,51 @@ static void BM_EventQueueChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueChurn);
+
+// Schedule + dispatch at a steady ~10k pending events (the measured heap
+// peak of the perfbench workloads is 8.0k-11.1k) with an N-byte closure:
+// each event re-schedules a copy of itself at a pseudo-random delay, so
+// every iteration is one pop, one dispatch and one push. 8, 32 and 72 B
+// are the common closure sizes of those workloads (72 B: the UDP delivery
+// closure, the largest that fits Callback's in-place buffer).
+template <class Event>
+void hop(simnet::EventQueue& queue, const Event& self) {
+  std::uint64_t x = queue.executed() * 0x9e3779b97f4a7c15ULL;
+  queue.schedule_in(static_cast<simnet::SimDuration>((x >> 40) % 20000),
+                    self);
+}
+
+template <std::size_t N>
+struct HopEvent {
+  simnet::EventQueue* queue;
+  std::array<std::uint64_t, (N - 8) / 8> pad;
+  void operator()() const { hop(*queue, *this); }
+};
+
+template <>
+struct HopEvent<8> {
+  simnet::EventQueue* queue;
+  void operator()() const { hop(*queue, *this); }
+};
+
+template <std::size_t N>
+static void BM_EventQueueHold(benchmark::State& state) {
+  static_assert(sizeof(HopEvent<N>) == N);
+  constexpr int kPending = 10000;
+  simnet::EventQueue queue;
+  HopEvent<N> event{};
+  event.queue = &queue;
+  for (int i = 0; i < kPending; ++i) queue.schedule_at(i, event);
+  for (auto _ : state) queue.step();
+  benchmark::DoNotOptimize(queue.executed());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["storage_B_per_pending"] =
+      static_cast<double>(queue.pending_storage_bytes()) /
+      static_cast<double>(queue.pending());
+}
+BENCHMARK(BM_EventQueueHold<8>);
+BENCHMARK(BM_EventQueueHold<32>);
+BENCHMARK(BM_EventQueueHold<72>);
 
 // ---- obs hot-path overhead -------------------------------------------
 // Every pipeline counter is one of these increments; the acceptance bar is

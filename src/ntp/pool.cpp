@@ -1,6 +1,7 @@
 #include "ntp/pool.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/format.hpp"
 
@@ -83,34 +84,57 @@ std::optional<std::size_t> NtpPool::pick_from(
   return index;
 }
 
+std::optional<std::size_t> NtpPool::pick_in_zone(const std::string& country,
+                                                util::Rng& rng) const {
+  // pick_from(eligible_in_zone(country)) without building either vector:
+  // the same summation order, one uniform() draw and the same
+  // subtraction order, so the pick and the RNG stream are identical.
+  auto it = zones_.find(country);
+  if (it == zones_.end()) return std::nullopt;
+  const std::vector<std::size_t>& zone = it->second;
+  double total = 0.0;
+  bool any = false;
+  for (std::size_t i : zone) {
+    if (servers_[i].monitor_score < kRotationThreshold) continue;
+    total += servers_[i].netspeed;
+    any = true;
+  }
+  if (!any) return std::nullopt;
+  if (total <= 0.0) throw std::invalid_argument("pick_weighted: zero mass");
+  double x = rng.uniform() * total;
+  std::size_t index = 0;
+  for (std::size_t i : zone) {
+    if (servers_[i].monitor_score < kRotationThreshold) continue;
+    index = i;
+    x -= servers_[i].netspeed;
+    if (x < 0.0) break;
+  }
+  selections_[index].inc();
+  return index;
+}
+
 std::optional<net::Ipv6Address> NtpPool::resolve(const std::string& country,
                                                  util::Rng& rng) const {
   resolve_total_.inc();
-  auto zone = eligible_in_zone(country);
-  if (zone.empty()) {
-    resolve_fallback_.inc();
-    // Continent-zone fallback: eligible servers in any country sharing the
-    // client's continent.
-    std::string_view continent = continent_of(country);
-    if (continent != "global") {
-      std::vector<std::size_t> regional;
-      for (std::size_t i = 0; i < servers_.size(); ++i) {
-        if (servers_[i].monitor_score >= kRotationThreshold &&
-            continent_of(servers_[i].country) == continent)
-          regional.push_back(i);
-      }
-      if (auto pick = pick_from(regional, rng))
-        return servers_[*pick].address;
+  if (auto pick = pick_in_zone(country, rng)) return servers_[*pick].address;
+  resolve_fallback_.inc();
+  // Continent-zone fallback: eligible servers in any country sharing the
+  // client's continent.
+  std::string_view continent = continent_of(country);
+  if (continent != "global") {
+    std::vector<std::size_t> regional;
+    for (std::size_t i = 0; i < servers_.size(); ++i) {
+      if (servers_[i].monitor_score >= kRotationThreshold &&
+          continent_of(servers_[i].country) == continent)
+        regional.push_back(i);
     }
-    // Global-zone fallback: every eligible server worldwide.
-    std::vector<std::size_t> all;
-    for (std::size_t i = 0; i < servers_.size(); ++i)
-      if (servers_[i].monitor_score >= kRotationThreshold) all.push_back(i);
-    auto pick = pick_from(all, rng);
-    if (!pick) return std::nullopt;
-    return servers_[*pick].address;
+    if (auto pick = pick_from(regional, rng)) return servers_[*pick].address;
   }
-  auto pick = pick_from(zone, rng);
+  // Global-zone fallback: every eligible server worldwide.
+  std::vector<std::size_t> all;
+  for (std::size_t i = 0; i < servers_.size(); ++i)
+    if (servers_[i].monitor_score >= kRotationThreshold) all.push_back(i);
+  auto pick = pick_from(all, rng);
   if (!pick) return std::nullopt;
   return servers_[*pick].address;
 }

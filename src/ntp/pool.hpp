@@ -95,6 +95,10 @@ class NtpPool {
   /// Netspeed-weighted pick; returns an index into servers_, or nullopt.
   std::optional<std::size_t> pick_from(const std::vector<std::size_t>& zone,
                                        util::Rng& rng) const;
+  /// Netspeed-weighted pick among the rotation-eligible servers of the
+  /// `country` zone, allocation-free; nullopt when none is eligible.
+  std::optional<std::size_t> pick_in_zone(const std::string& country,
+                                          util::Rng& rng) const;
   std::vector<std::size_t> eligible_in_zone(const std::string& country) const;
   void enroll_server(std::size_t index);
 

@@ -23,7 +23,7 @@ class AmqpScanner final : public ProtocolScanner {
   void probe(simnet::Network& network, const simnet::Endpoint& src,
              ScanRecord base, DoneFn done) override {
     auto state = detail::make_probe_state(std::move(base), std::move(done));
-    detail::arm_guard(network, state, probe_timeout_);
+    detail::arm_guard(network, state, probe_timeout_, probe_category_);
 
     simnet::Endpoint dst{state->record.target, port_of(protocol())};
     bool tls = tls_;

@@ -45,7 +45,7 @@ class CoapScanner final : public ProtocolScanner {
     network.send_udp(src, dst, request.serialize());
 
     // UDP silence (no listener, lost packet, filtered) = timeout.
-    detail::arm_guard(network, state, probe_timeout_);
+    detail::arm_guard(network, state, probe_timeout_, probe_category_);
   }
 
  private:

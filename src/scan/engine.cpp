@@ -58,11 +58,14 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
   scanners_.push_back(make_amqp_scanner(false, config_.sni));
   scanners_.push_back(make_amqp_scanner(true, config_.sni));
   scanners_.push_back(make_coap_scanner());
+  simnet::EventQueue::CategoryId probe_cat =
+      network_.events().register_category("scan_probe");
   for (const auto& scanner : scanners_) {
     auto idx = static_cast<std::size_t>(scanner->protocol());
     assert(!by_proto_[idx] && "duplicate scanner for protocol");
     by_proto_[idx] = scanner.get();
     scanner->set_timeouts(config_.probe_timeout, config_.connect_timeout);
+    scanner->set_probe_category(probe_cat);
   }
   if (config_.tracer) {
     for (std::size_t p = 0; p < kProtocolCount; ++p) {

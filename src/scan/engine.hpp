@@ -74,10 +74,16 @@ class ProtocolScanner {
     probe_timeout_ = probe_timeout;
     connect_timeout_ = connect_timeout;
   }
+  /// Dispatch category of the per-probe guard events, registered once by
+  /// the engine at construction (default: the queue's "other" bucket).
+  void set_probe_category(simnet::EventQueue::CategoryId category) {
+    probe_category_ = category;
+  }
 
  protected:
   simnet::SimDuration probe_timeout_ = simnet::sec(8);
   simnet::SimDuration connect_timeout_ = simnet::sec(5);
+  simnet::EventQueue::CategoryId probe_category_ = 0;
 };
 
 struct ScanEngineConfig {

@@ -53,15 +53,11 @@ inline ProbeStatePtr make_probe_state(ScanRecord base,
 }
 
 /// Arm the per-probe guard: if nothing finished the probe by `timeout`,
-/// record a timeout.
+/// record a timeout, attributed to `category` (the engine's "scan_probe").
 inline void arm_guard(simnet::Network& network, const ProbeStatePtr& state,
-                      simnet::SimDuration timeout) {
-  // register_category is idempotent (a short linear name scan), so the
-  // guard self-categorises without threading an id through every scanner.
-  simnet::EventQueue::CategoryId cat =
-      network.events().register_category("scan_probe");
-  network.events().schedule_in(timeout,
-                               cat,
+                      simnet::SimDuration timeout,
+                      simnet::EventQueue::CategoryId category) {
+  network.events().schedule_in(timeout, category,
                                [state] { state->finish(Outcome::kTimeout); });
 }
 

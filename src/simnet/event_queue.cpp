@@ -29,9 +29,60 @@ struct TlsCtx {
 };
 thread_local TlsCtx tls_ctx;
 
-constexpr std::size_t kMaxCategories = 256;
+constexpr std::size_t kMaxCategories = EventHeap::kMaxCategories;
 
 }  // namespace
+
+// -------------------------------------------------------------- EventHeap
+
+EventHeap::Key EventHeap::pop() {
+  Key top = keys_.front();
+  Key last = keys_.back();
+  keys_.pop_back();
+  std::size_t n = keys_.size();
+  if (n == 0) return top;
+  // Sift `last` down from the root: move the hole to the earliest of up
+  // to four children until `last` fits.
+  std::size_t hole = 0;
+  for (;;) {
+    std::size_t child = 4 * hole + 1;
+    if (child >= n) break;
+    std::size_t end = std::min(child + 4, n);
+    std::size_t best = child;
+    for (std::size_t c = child + 1; c < end; ++c)
+      if (before(keys_[c], keys_[best])) best = c;
+    if (!before(keys_[best], last)) break;
+    keys_[hole] = keys_[best];
+    hole = best;
+  }
+  keys_[hole] = last;
+  return top;
+}
+
+void EventHeap::sift_up(Key key) {
+  std::size_t hole = keys_.size();
+  keys_.push_back(key);
+  while (hole > 0) {
+    std::size_t parent = (hole - 1) / 4;
+    if (!before(key, keys_[parent])) break;
+    keys_[hole] = keys_[parent];
+    hole = parent;
+  }
+  keys_[hole] = key;
+}
+
+EventHeap::~EventHeap() {
+  // Release the captures of events that never ran.
+  for (const Key& key : keys_) {
+    std::uint32_t slot = key.slot();
+    if (slot & kLargeSlot)
+      large_.destroy(slot & ~kLargeSlot);
+    else
+      small_.destroy(slot);
+  }
+}
+
+// ------------------------------------------------------------- EventQueue
 
 std::string format_duration(SimDuration d) {
   bool neg = d < 0;
@@ -94,7 +145,7 @@ void EventQueue::configure_shards(const ShardPlan& plan,
     workers_.emplace_back([this] { worker_loop(); });
 }
 
-DomainId EventQueue::current_domain() const {
+DomainId EventQueue::executing_domain() const {
   return tls_ctx.queue == this ? tls_ctx.domain : 0;
 }
 
@@ -199,43 +250,13 @@ void EventQueue::note_slow_dispatch(SimTime at, std::int64_t wall,
   }
 }
 
-void EventQueue::schedule_at(SimTime at, Callback fn) {
-  schedule_at(at, /*category=*/0, std::move(fn));
-}
-
-void EventQueue::schedule_at(SimTime at, CategoryId category, Callback fn) {
-  schedule_on(current_domain(), at, category, std::move(fn));
-}
-
-void EventQueue::schedule_in(SimDuration delay, Callback fn) {
-  schedule_in(delay, /*category=*/0, std::move(fn));
-}
-
-void EventQueue::schedule_in(SimDuration delay, CategoryId category,
-                             Callback fn) {
-  DomainId d = current_domain();
-  SimTime base = domains_[d].now;
-  schedule_on(d, base + (delay < 0 ? 0 : delay), category, std::move(fn));
-}
-
-void EventQueue::schedule_on(DomainId domain, SimTime at, CategoryId category,
-                             Callback fn) {
-  DomainId src = current_domain();
-  Domain& sender = domains_[src];
-  std::uint64_t seq = sender.next_seq++;
-  if (domain == src) {
-    if (at < sender.now) at = sender.now;
-    sender.heap.push(Entry{at, src, seq, category, std::move(fn)});
-    if (!sharded())
-      pending_gauge_.set(static_cast<std::int64_t>(sender.heap.size()));
-    return;
-  }
+void EventQueue::post(DomainId domain, Posted event) {
   // Cross-domain: into the target's inbox, merged at the next barrier.
   // The (at, src, seq) key is allocated on the sender, so the merged order
   // is a function of content, not of inbox arrival interleaving.
   Domain& target = domains_[domain];
   std::lock_guard<std::mutex> lk(target.inbox_mu);
-  target.inbox.push_back(Entry{at, src, seq, category, std::move(fn)});
+  target.inbox.push_back(std::move(event));
 }
 
 void EventQueue::run_at_barrier(Callback fn) {
@@ -246,32 +267,31 @@ void EventQueue::run_at_barrier(Callback fn) {
   domains_[current_domain()].commits.push_back(std::move(fn));
 }
 
-void EventQueue::dispatch(Domain& dom, Entry e) {
+void EventQueue::dispatch_next(Domain& dom) {
+  EventHeap::Key key = dom.events.pop();
+  if (!sharded())
+    pending_gauge_.set(static_cast<std::int64_t>(dom.events.size()));
+  dom.now = key.at;
+  CategoryId cat = key.category();
   executed_ctr_.inc();
-  categories_[e.cat].executed->inc();
+  categories_[cat].executed->inc();
   if (time_dispatch_ && (executed_ctr_.value() & dispatch_mask_) == 0) {
     std::int64_t t0 = wall_ns();
-    e.fn();
+    dom.events.run(key.slot());
     std::int64_t wall = wall_ns() - t0;
     dispatch_wall_.record(wall);
-    categories_[e.cat].wall->record(wall);
-    note_slow_dispatch(dom.now, wall, e.cat);
+    categories_[cat].wall->record(wall);
+    note_slow_dispatch(dom.now, wall, cat);
   } else {
-    e.fn();
+    dom.events.run(key.slot());
   }
 }
 
 bool EventQueue::step() {
   if (sharded()) return false;  // sharded runs advance window-wise only
   Domain& dom = domains_[0];
-  if (dom.heap.empty()) return false;
-  // priority_queue::top() is const; the callback must be moved out, so pop
-  // via const_cast-free copy of the small fields and move of the function.
-  Entry e = std::move(const_cast<Entry&>(dom.heap.top()));
-  dom.heap.pop();
-  pending_gauge_.set(static_cast<std::int64_t>(dom.heap.size()));
-  dom.now = e.at;
-  dispatch(dom, std::move(e));
+  if (dom.events.empty()) return false;
+  dispatch_next(dom);
   return true;
 }
 
@@ -282,32 +302,38 @@ void EventQueue::set_dispatch_sampling(std::uint32_t every) {
 }
 
 std::size_t EventQueue::pending() const {
-  if (!sharded()) return domains_[0].heap.size();
+  if (!sharded()) return domains_[0].events.size();
   std::size_t n = 0;
   for (const Domain& dom : domains_) {
-    n += dom.heap.size();
+    n += dom.events.size();
     std::lock_guard<std::mutex> lk(dom.inbox_mu);
     n += dom.inbox.size();
   }
   return n;
 }
 
+std::size_t EventQueue::pending_storage_bytes() const {
+  std::size_t bytes = 0;
+  for (const Domain& dom : domains_) bytes += dom.events.storage_bytes();
+  return bytes;
+}
+
 SimTime EventQueue::global_min() const {
   SimTime tmin = kNoEvent;
   for (const Domain& dom : domains_)
-    if (!dom.heap.empty() && dom.heap.top().at < tmin)
-      tmin = dom.heap.top().at;
+    if (!dom.events.empty() && dom.events.top().at < tmin)
+      tmin = dom.events.top().at;
   return tmin;
 }
 
 void EventQueue::ingest_inboxes(SimTime committed_bound) {
-  std::vector<Entry> batch;
+  std::vector<Posted> batch;
   for (Domain& dom : domains_) {
     {
       std::lock_guard<std::mutex> lk(dom.inbox_mu);
       batch.swap(dom.inbox);
     }
-    for (Entry& e : batch) {
+    for (Posted& e : batch) {
       if (e.at < committed_bound) {
         // Lookahead violation: the sender undercut the configured
         // lookahead and this event's time is already inside a committed
@@ -315,7 +341,7 @@ void EventQueue::ingest_inboxes(SimTime committed_bound) {
         violations_ctr_.inc();
         e.at = committed_bound;
       }
-      dom.heap.push(std::move(e));
+      dom.events.push(e.at, e.src, e.seq, e.cat, std::move(e.fn));
     }
     batch.clear();
   }
@@ -323,15 +349,11 @@ void EventQueue::ingest_inboxes(SimTime committed_bound) {
 
 void EventQueue::exec_domain(DomainId d, SimTime bound) {
   Domain& dom = domains_[d];
-  if (dom.heap.empty() || dom.heap.top().at >= bound) return;
+  if (dom.events.empty() || dom.events.top().at >= bound) return;
   TlsCtx saved = tls_ctx;
   tls_ctx = TlsCtx{this, d};
-  while (!dom.heap.empty() && dom.heap.top().at < bound) {
-    Entry e = std::move(const_cast<Entry&>(dom.heap.top()));
-    dom.heap.pop();
-    dom.now = e.at;
-    dispatch(dom, std::move(e));
-  }
+  while (!dom.events.empty() && dom.events.top().at < bound)
+    dispatch_next(dom);
   tls_ctx = saved;
 }
 
@@ -448,8 +470,8 @@ std::uint64_t EventQueue::run_until(SimTime until) {
   if (!sharded()) {
     Domain& dom = domains_[0];
     std::uint64_t n = 0;
-    while (!dom.heap.empty() && dom.heap.top().at <= until) {
-      step();
+    while (!dom.events.empty() && dom.events.top().at <= until) {
+      dispatch_next(dom);
       ++n;
     }
     if (dom.now < until) dom.now = until;
@@ -473,9 +495,11 @@ Timer::Timer(EventQueue& queue, EventQueue::Callback fn,
 
 Timer::~Timer() {
   // Pending heap entries share the state; disarming makes them inert and
-  // dropping the callback releases whatever it captured.
+  // dropping the callback releases whatever it captured. A Timer destroyed
+  // by its own running callback leaves that release to fire().
   state_->armed = false;
-  state_->fn = nullptr;
+  state_->destroyed = true;
+  if (!state_->firing) state_->fn = nullptr;
 }
 
 void Timer::arm(SimTime at) {
@@ -511,9 +535,10 @@ void Timer::fire(const std::shared_ptr<State>& s, std::uint64_t gen) {
     return;
   }
   s->armed = false;
-  // Copy: the callback may destroy the Timer (clearing s->fn) mid-call.
-  EventQueue::Callback fn = s->fn;
-  fn();
+  s->firing = true;
+  s->fn();
+  s->firing = false;
+  if (s->destroyed) s->fn = nullptr;
 }
 
 }  // namespace tts::simnet

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <vector>
+
 #include "ntp/pool.hpp"
 
 namespace tts::ntp {
@@ -127,6 +131,67 @@ TEST(Pool, DeploymentCountriesMatchPaper) {
             countries.end());
   EXPECT_NE(std::find(countries.begin(), countries.end(), "NL"),
             countries.end());
+}
+
+/// The country-zone pick as resolve() made it before it went
+/// allocation-free: the zone's eligible servers in add order
+/// (eligible_in_zone), then Rng::pick_weighted over their netspeeds.
+std::optional<std::size_t> vector_zone_pick(const NtpPool& pool,
+                                            const std::string& country,
+                                            util::Rng& rng) {
+  std::vector<std::size_t> eligible;
+  const auto& servers = pool.servers();
+  for (std::size_t i = 0; i < servers.size(); ++i)
+    if (servers[i].country == country &&
+        servers[i].monitor_score >= NtpPool::kRotationThreshold)
+      eligible.push_back(i);
+  if (eligible.empty()) return std::nullopt;
+  std::vector<double> weights;
+  for (std::size_t i : eligible) weights.push_back(servers[i].netspeed);
+  return eligible[rng.pick_weighted(weights)];
+}
+
+TEST(Pool, ZonePickMatchesEligibleVectorPick) {
+  const std::vector<std::string> countries = {"DE", "FR", "JP", "US"};
+  const int scores[] = {-100, 5, 9, 10, 15, 20};
+  util::Rng gen(2024);
+  int compared = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    NtpPool pool;
+    auto n = 1 + gen.below(12);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      PoolEntry e;
+      e.address = addr(i + 1);
+      e.country = countries[gen.below(countries.size())];
+      // Mixed magnitudes and fractions stress the summation order.
+      e.netspeed = gen.chance(0.5) ? gen.uniform(0.001, 3.0)
+                                   : static_cast<double>(gen.below(100000));
+      e.monitor_score = scores[gen.below(6)];
+      pool.add_server(e);
+    }
+    const std::string& country = countries[gen.below(countries.size())];
+    std::uint64_t seed = gen.next();
+    util::Rng with_vectors(seed);
+    util::Rng in_place(seed);
+    for (int draw = 0; draw < 8; ++draw) {
+      std::optional<std::size_t> want;
+      try {
+        want = vector_zone_pick(pool, country, with_vectors);
+      } catch (const std::invalid_argument&) {
+        // All eligible netspeed is zero: resolve throws the same error.
+        EXPECT_THROW(pool.resolve(country, in_place), std::invalid_argument);
+        break;
+      }
+      if (!want) break;  // empty zone: the fallbacks, unchanged, take over
+      auto got = pool.resolve(country, in_place);
+      ASSERT_TRUE(got);
+      EXPECT_EQ(*got, pool.servers()[*want].address)
+          << "trial " << trial << " draw " << draw;
+      EXPECT_EQ(in_place.next(), with_vectors.next());
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 1000);
 }
 
 }  // namespace

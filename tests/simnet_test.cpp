@@ -169,7 +169,7 @@ TEST(Timer, CallbackMayDestroyItsOwnTimer) {
   std::unique_ptr<Timer> t;
   t = std::make_unique<Timer>(q, [&] {
     ++fired;
-    t.reset();  // the copy-before-call in fire() keeps this safe
+    t.reset();  // fire() releases the callback only once it returns
   });
   t->arm(sec(1));
   q.run();
